@@ -1,5 +1,15 @@
 import os
 import sys
+from pathlib import Path
+
+# Import ``repro`` from the checkout without installing it: ``src`` goes on
+# the driver's path and on PYTHONPATH, which the JVM hands on to the
+# pandas-UDF workers it forks.
+_SRC = str(Path(__file__).resolve().parent / "src")
+sys.path.insert(0, _SRC)
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH", "")) if p
+)
 
 
 def _driver_mem() -> str:

@@ -29,6 +29,7 @@ import pandas as pd
 import pyspark.sql.functions as F
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.core import distances as dist
 from repro.core import features, lsh, minhash, randproj
 from repro.core.ranking import SearchResult
 from repro.embedding.wem import WordEmbeddingModel
@@ -103,7 +104,7 @@ class Aurum:
     cells: DataFrame
     attrs: DataFrame
     #: materialised relationship edges (query_attr, attr_id, similarity,
-    #: q_table, s_table) — built once at index time.
+    #: q_table, s_table, q_numeric, s_numeric) — built once at index time.
     edges: DataFrame
     #: PK/FK candidate edges (t1, t2) at table granularity.
     pkfk_edges: pd.DataFrame
@@ -145,25 +146,17 @@ class Aurum:
         # indexes — the all-pairs edge materialisation that dominates
         # Aurum's indexing cost.
         all_attrs = attrs.select("attr_id")
-        edge_parts = [
-            idx.lookup(all_attrs, min_similarity=cfg.edge_threshold)
-            for idx in (idx_name, idx_content, idx_tfidf)
-        ]
-        union = edge_parts[0]
-        for p in edge_parts[1:]:
-            union = union.unionByName(p)
-        q_meta = attrs.select(
-            F.col("attr_id").alias("query_attr"), F.col("table").alias("q_table")
+        hits = lsh.lookup(
+            {"name": idx_name, "content": idx_content, "tfidf": idx_tfidf},
+            all_attrs,
+            min_similarity=cfg.edge_threshold,
         )
-        s_meta = attrs.select("attr_id", F.col("table").alias("s_table"))
-        edges = (
-            union.groupBy("query_attr", "attr_id")
-            .agg(F.max("similarity").alias("similarity"))  # certainty = max
-            .join(q_meta, "query_attr")
-            .join(s_meta, "attr_id")
-            .where(F.col("q_table") != F.col("s_table"))
-            .cache()
-        )
+        edges = dist.attach_tables(
+            hits.groupBy("query_attr", "attr_id").agg(
+                F.max("similarity").alias("similarity")  # certainty = max
+            ),
+            attrs,
+        ).cache()
         edges.count()  # materialise the graph now (indexing-time cost)
 
         # PK/FK candidates: content overlap where either side is near-unique.
@@ -173,13 +166,9 @@ class Aurum:
             .toPandas()
             .set_index("attr_id")["uniqueness"]
         )
-        content_pairs = (
-            idx_content.lookup(all_attrs, min_similarity=cfg.pkfk_threshold)
-            .join(q_meta, "query_attr")
-            .join(s_meta, "attr_id")
-            .where(F.col("q_table") != F.col("s_table"))
-            .toPandas()
-        )
+        content_pairs = dist.attach_tables(
+            idx_content.lookup(all_attrs, min_similarity=cfg.pkfk_threshold), attrs
+        ).toPandas()
         keep = [
             max(uniq.get(q, 0.0), uniq.get(s, 0.0)) >= cfg.pk_uniqueness
             for q, s in zip(content_pairs["query_attr"], content_pairs["attr_id"])

@@ -27,12 +27,14 @@ attribute's score. Faithful cost/behaviour properties preserved:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import pandas as pd
 import pyspark.sql.functions as F
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.baselines.kb import KnowledgeBase
+from repro.core import distances as dist
 from repro.core import lsh, minhash, randproj
 from repro.core.ranking import SearchResult
 from repro.embedding.wem import WordEmbeddingModel
@@ -257,52 +259,34 @@ class TUS:
         q_vf = value_sets(target_cells)
         q_sf = semantic_sets(target_cells, self.kb)
 
-        cand_v = self.index_value.lookup(q_attrs, min_similarity=floor).select(
-            "query_attr", "attr_id"
+        cand_v, cand_s, cand_e = (
+            index.lookup(q_attrs, min_similarity=floor)
+            for index in (self.index_value, self.index_semantic, self.index_nl)
         )
-        cand_s = self.index_semantic.lookup(q_attrs, min_similarity=floor).select(
-            "query_attr", "attr_id"
+        pair = ["query_attr", "attr_id"]
+        sims = reduce(
+            DataFrame.unionByName,
+            [
+                exact_jaccard_pairs(cand_v.select(pair), self.value_feats, q_vf),
+                exact_jaccard_pairs(cand_s.select(pair), self.semantic_feats, q_sf),
+                cand_e.select(*pair, F.greatest("similarity", F.lit(0.0)).alias("similarity")),
+            ],
         )
-        cand_e = self.index_nl.lookup(q_attrs, min_similarity=floor)
-
-        sim_v = exact_jaccard_pairs(cand_v, self.value_feats, q_vf).withColumnRenamed(
-            "similarity", "sim_value"
-        )
-        sim_s = exact_jaccard_pairs(cand_s, self.semantic_feats, q_sf).withColumnRenamed(
-            "similarity", "sim_semantic"
-        )
-        sim_e = cand_e.select(
-            "query_attr", "attr_id", F.greatest(F.col("similarity"), F.lit(0.0)).alias("sim_nl")
-        )
-
-        merged = (
-            sim_v.join(sim_s, ["query_attr", "attr_id"], "full_outer")
-            .join(sim_e, ["query_attr", "attr_id"], "full_outer")
-            .fillna(0.0, subset=["sim_value", "sim_semantic", "sim_nl"])
-            .withColumn(
-                "similarity", F.greatest("sim_value", "sim_semantic", "sim_nl")
-            )
-        )
-        q_meta = self.attrs.select(
-            F.col("attr_id").alias("query_attr"), F.col("table").alias("q_table")
-        )
-        s_meta = self.attrs.select("attr_id", F.col("table").alias("s_table"))
-        align = (
-            merged.join(q_meta, "query_attr")
-            .join(s_meta, "attr_id")
-            .where(F.col("q_table") != F.col("s_table"))
-            .toPandas()
-        )
+        merged = sims.groupBy(pair).agg(F.max("similarity").alias("similarity"))
+        align = dist.attach_tables(merged, self.attrs).toPandas()
+        # Arity = non-numeric attributes, which are all TUS can align.
+        arity = {
+            r["table"]: r["count"]
+            for r in self.attrs.where(F.col("table").isin(target_tables) & ~F.col("is_numeric"))
+            .groupBy("table")
+            .count()
+            .collect()
+        }
 
         results: dict[str, SearchResult] = {}
         for target in target_tables:
             a = align[align["q_table"] == target].reset_index(drop=True)
-            n_attrs = max(
-                1,
-                self.attrs.where(
-                    (F.col("table") == target) & (~F.col("is_numeric"))
-                ).count(),
-            )
+            n_attrs = max(1, arity.get(target, 0))
             if a.empty:
                 results[target] = SearchResult(target=target, ranking=[], alignments=a)
                 continue

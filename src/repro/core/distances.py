@@ -17,6 +17,7 @@ distant), matching §III-D ("otherwise that measurement is set to 1").
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import pandas as pd
@@ -55,10 +56,10 @@ def _ks_udf(xs: pd.Series, ys: pd.Series) -> pd.Series:
 
 
 def numeric_extents(cells: DataFrame) -> DataFrame:
-    """``(attr_id, vals: array<double>)`` for numeric attributes."""
+    """``(attr_id, table, vals: array<double>)`` for numeric attributes."""
     return (
         cells.where(F.col("is_numeric") & F.col("num_value").isNotNull())
-        .groupBy("attr_id")
+        .groupBy("attr_id", "table")
         .agg(F.collect_list("num_value").alias("vals"))
     )
 
@@ -66,6 +67,10 @@ def numeric_extents(cells: DataFrame) -> DataFrame:
 # ---------------------------------------------------------------------------
 # Candidate pair distance table
 # ---------------------------------------------------------------------------
+
+
+#: Evidence types retrieved by an LSH index (all but the domain's KS test).
+LSH_EVIDENCE = EVIDENCE_TYPES[:4]
 
 
 @dataclass
@@ -79,30 +84,40 @@ class LookupResults:
 
 
 def merge_lookups(lookups: LookupResults) -> DataFrame:
-    """Full-outer merge of the four lookups into one pair table with
-    distances ``d_n, d_v, d_f, d_e`` (missing evidence -> 1.0)."""
-
-    def _dist(df: DataFrame, name: str, *, cosine: bool) -> DataFrame:
-        sim = F.col("similarity")
-        if cosine:
-            # cosine similarity in [-1, 1] -> distance clamped to [0, 1]
-            d = F.least(F.lit(1.0), F.lit(1.0) - sim)
-        else:
-            d = F.lit(1.0) - sim
-        return df.select(
-            "query_attr", "attr_id", F.greatest(F.lit(0.0), d).alias(name)
+    """:func:`pivot_distances` over four single-index lookups, tagged by
+    evidence type."""
+    hits = [
+        getattr(lookups, ev).select(
+            "query_attr", "attr_id", F.lit(ev).alias("evidence"), "similarity"
         )
-
-    parts = [
-        _dist(lookups.n, "d_n", cosine=False),
-        _dist(lookups.v, "d_v", cosine=False),
-        _dist(lookups.f, "d_f", cosine=False),
-        _dist(lookups.e, "d_e", cosine=True),
+        for ev in LSH_EVIDENCE
     ]
-    merged = parts[0]
-    for p in parts[1:]:
-        merged = merged.join(p, ["query_attr", "attr_id"], "full_outer")
-    return merged.fillna(1.0, subset=["d_n", "d_v", "d_f", "d_e"])
+    return pivot_distances(reduce(DataFrame.unionByName, hits))
+
+
+def pivot_distances(hits: DataFrame) -> DataFrame:
+    """One row per pair of a multi-index lookup
+    ``(query_attr, attr_id, evidence, similarity)`` with distances
+    ``d_n, d_v, d_f, d_e``: 1 - similarity clamped to [0, 1] (cosine
+    similarity lies in [-1, 1]), 1.0 where that index did not retrieve the
+    pair."""
+    wide = (
+        hits.groupBy("query_attr", "attr_id")
+        .pivot("evidence", list(LSH_EVIDENCE))
+        .agg(F.max("similarity"))
+    )
+    # Test for null first: greatest/least skip nulls, so clamping a missing
+    # similarity would yield a distance of 0.0 instead of 1.0.
+    return wide.select(
+        "query_attr",
+        "attr_id",
+        *(
+            F.when(F.col(ev).isNull(), F.lit(1.0))
+            .otherwise(F.greatest(F.lit(0.0), F.least(F.lit(1.0), F.lit(1.0) - F.col(ev))))
+            .alias(f"d_{ev}")
+            for ev in LSH_EVIDENCE
+        ),
+    )
 
 
 def attach_tables(pairs: DataFrame, attrs: DataFrame) -> DataFrame:
@@ -154,55 +169,39 @@ def add_domain_distance(
         .distinct()
     )
     ext_q = extents.select(
-        F.col("attr_id").alias("query_attr"), F.col("vals").alias("vals_q")
+        F.col("attr_id").alias("query_attr"),
+        F.col("table").alias("q_table"),
+        F.col("vals").alias("vals_q"),
     )
-    ext_s = extents.select("attr_id", F.col("vals").alias("vals_s"))
+    ext_s = extents.select(
+        "attr_id", F.col("table").alias("s_table"), F.col("vals").alias("vals_s")
+    )
+    key = ["query_attr", "attr_id", "q_table", "s_table"]
 
     # Guard-1 pairs: numeric x numeric cross product within subject-related
     # table pairs. Table granularity keeps this tiny (few numeric attrs each).
-    from repro.lake.tables import SEP  # local import to avoid cycle
-
-    ext_tables_q = ext_q.withColumn(
-        "q_table", F.split(F.col("query_attr"), F.lit("\\|\\|")).getItem(0)
-    )
-    ext_tables_s = ext_s.withColumn(
-        "s_table", F.split(F.col("attr_id"), F.lit("\\|\\|")).getItem(0)
-    )
-    assert SEP == "||"
-    guard1 = (
-        subj_pairs.join(ext_tables_q, "q_table")
-        .join(ext_tables_s, "s_table")
-        .select("query_attr", "attr_id", "vals_q", "vals_s")
-    )
+    guard1 = subj_pairs.join(ext_q, "q_table").join(ext_s, "s_table")
 
     # Guards 2/3: the pair itself N- or F-related.
     guard23 = (
         pairs.where(
             F.col("q_numeric") & F.col("s_numeric") & ((F.col("d_n") < 1.0) | (F.col("d_f") < 1.0))
         )
-        .select("query_attr", "attr_id")
-        .join(ext_q, "query_attr")
-        .join(ext_s, "attr_id")
-        .select("query_attr", "attr_id", "vals_q", "vals_s")
+        .select(*key)
+        .join(ext_q, ["query_attr", "q_table"])
+        .join(ext_s, ["attr_id", "s_table"])
     )
 
     ks_pairs = (
         guard1.unionByName(guard23)
-        .dropDuplicates(["query_attr", "attr_id"])
+        .dropDuplicates(key)
         .withColumn("d_d", _ks_udf(F.col("vals_q"), F.col("vals_s")))
-        .select("query_attr", "attr_id", "d_d")
+        .select(*key, "d_d")
     )
 
-    out = pairs.join(ks_pairs, ["query_attr", "attr_id"], "full_outer")
-    # Guard-1 rows may introduce pairs absent from `pairs`; fill their
-    # metadata and default the four LSH distances to 1.0.
-    out = out.withColumn(
-        "q_table",
-        F.coalesce(F.col("q_table"), F.split(F.col("query_attr"), F.lit("\\|\\|")).getItem(0)),
-    ).withColumn(
-        "s_table",
-        F.coalesce(F.col("s_table"), F.split(F.col("attr_id"), F.lit("\\|\\|")).getItem(0)),
-    )
+    # Guard-1 rows may introduce pairs absent from `pairs`; default their
+    # four LSH distances to 1.0.
+    out = pairs.join(ks_pairs, key, "full_outer")
     out = out.fillna(1.0, subset=["d_n", "d_v", "d_f", "d_e", "d_d"])
     out = out.fillna(True, subset=["q_numeric", "s_numeric"])
     return out.where(F.col("q_table") != F.col("s_table"))

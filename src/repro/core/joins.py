@@ -21,16 +21,8 @@ from dataclasses import dataclass
 import pyspark.sql.functions as F
 from pyspark.sql import DataFrame
 
+from repro.core import distances as dist
 from repro.core.ranking import D3L
-
-
-def overlap_lower_bound(tau: float, size_a: int, size_b: int) -> float:
-    """§IV's inclusion-exclusion bound: if J(A, B) >= tau then
-    ov(A, B) >= tau * (|A| + |B|) / ((1 + tau) * min(|A|, |B|))."""
-    lo = min(size_a, size_b)
-    if lo == 0:
-        return 0.0
-    return min(1.0, tau * (size_a + size_b) / ((1.0 + tau) * lo))
 
 
 def sa_join_edges(d3l: D3L, *, tau: float | None = None) -> DataFrame:
@@ -41,19 +33,14 @@ def sa_join_edges(d3l: D3L, *, tau: float | None = None) -> DataFrame:
     "I_V-based evidence that the tsets overlap" with the LSH threshold.
     """
     tau = d3l.config.tau if tau is None else tau
-    subj_attrs = d3l.subjects.select("attr_id")
-    hits = d3l.index_v.lookup(subj_attrs, min_similarity=tau)
-    pairs = (
-        hits.withColumn("t1", F.split("query_attr", F.lit("\\|\\|")).getItem(0))
-        .withColumn("t2", F.split("attr_id", F.lit("\\|\\|")).getItem(0))
-        .where(F.col("t1") != F.col("t2"))
-    )
+    hits = d3l.index_v.lookup(d3l.subjects.select("attr_id"), min_similarity=tau)
     # Normalise to undirected edges; either endpoint being a subject
     # satisfies condition (ii) since the query side is always a subject.
     return (
-        pairs.select(
-            F.least("t1", "t2").alias("t1"),
-            F.greatest("t1", "t2").alias("t2"),
+        dist.attach_tables(hits, d3l.attrs)
+        .select(
+            F.least("q_table", "s_table").alias("t1"),
+            F.greatest("q_table", "s_table").alias("t2"),
             "similarity",
         )
         .groupBy("t1", "t2")

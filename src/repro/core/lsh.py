@@ -1,4 +1,4 @@
-"""Banded LSH index over signature DataFrames, queried via similarity joins.
+"""Banded LSH indexes over signature DataFrames, queried via one similarity join.
 
 The paper uses LSH Forest with threshold tau = 0.7 and 256 hashes per index
 (§V footnote 5). We implement the classic banded equivalent: a signature of
@@ -12,14 +12,18 @@ candidate pair the full signatures are re-compared, giving the actual
 distance estimate that feeds Eqs. 1-3 — banding is only a blocking step,
 exactly the role LSH Forest plays in the paper.
 
-Everything is a DataFrame: the index is ``(attr_id, band, band_hash)``, a
-lookup is an equi-join on ``(band, band_hash)`` followed by a join back to
-the signature table — Catalyst plans both, so the "query the lake" step is
-literally a similarity join.
+Everything is a DataFrame: each index is a bucket table ``(attr_id, band,
+band_hash)`` plus a signature table ``(attr_id, sig)``. :func:`lookup`
+queries all of a system's indexes at once: it unions their bucket and
+signature tables under an ``evidence`` tag, then runs one equi-join on
+``(evidence, band, band_hash)`` and one join back to the signatures —
+Catalyst plans both, so the "query the lake" step is literally one
+similarity join, however many indexes take part.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import pandas as pd
@@ -66,34 +70,6 @@ def band_hashes_df(signatures: DataFrame, *, n_bands: int = DEFAULT_N_BANDS) -> 
     return signatures.mapInPandas(lambda it: map(_bands, it), schema=_BANDS_SCHEMA)
 
 
-def _pair_similarity_df(
-    pairs: DataFrame, signatures: DataFrame, *, kind: str
-) -> DataFrame:
-    """Join full signatures onto ``(query_attr, attr_id)`` pairs and estimate
-    similarity: fraction of equal positions for ``kind='jaccard'``,
-    cos(pi * hamming) for ``kind='cosine'``."""
-    sig_q = signatures.select(
-        F.col("attr_id").alias("query_attr"), F.col("sig").alias("sig_q")
-    )
-    sig_s = signatures.select("attr_id", F.col("sig").alias("sig_s"))
-    joined = pairs.join(sig_q, "query_attr").join(sig_s, "attr_id")
-    eq_frac = (
-        F.aggregate(
-            F.zip_with("sig_q", "sig_s", lambda a, b: (a == b).cast("int")),
-            F.lit(0),
-            lambda acc, x: acc + x,
-        ).cast("double")
-        / F.size("sig_q").cast("double")
-    )
-    if kind == "jaccard":
-        sim = eq_frac
-    elif kind == "cosine":
-        sim = F.cos(F.lit(float(np.pi)) * (F.lit(1.0) - eq_frac))
-    else:  # pragma: no cover - guarded by LshIndex constructor
-        raise ValueError(f"unknown similarity kind: {kind}")
-    return joined.select("query_attr", "attr_id", sim.alias("similarity"))
-
-
 @dataclass
 class LshIndex:
     """One of the paper's four indexes (I_N, I_V, I_F, I_E).
@@ -121,27 +97,9 @@ class LshIndex:
         return LshIndex(signatures=signatures, bands=bands, kind=kind, n_bands=n_bands)
 
     def lookup(self, query_attrs: DataFrame, *, min_similarity: float = 0.0) -> DataFrame:
-        """LSH lookup for a set of query attributes (themselves indexed).
-
-        ``query_attrs`` is a one-column DataFrame ``(attr_id)`` naming the
-        query side. Returns ``(query_attr, attr_id, similarity)`` for every
-        candidate pair sharing >= 1 band bucket, self-pairs excluded,
-        filtered to ``similarity >= min_similarity``.
-        """
-        q_bands = self.bands.join(
-            query_attrs.select(F.col("attr_id").alias("query_attr")),
-            self.bands["attr_id"] == F.col("query_attr"),
-        ).select("query_attr", "band", "band_hash")
-        candidates = (
-            q_bands.join(self.bands, ["band", "band_hash"])
-            .where(F.col("query_attr") != F.col("attr_id"))
-            .select("query_attr", "attr_id")
-            .distinct()
-        )
-        sims = _pair_similarity_df(candidates, self.signatures, kind=self.kind)
-        if min_similarity > 0.0:
-            sims = sims.where(F.col("similarity") >= F.lit(min_similarity))
-        return sims
+        """:func:`lookup` over this index alone: ``(query_attr, attr_id,
+        similarity)``."""
+        return lookup({"": self}, query_attrs, min_similarity=min_similarity).drop("evidence")
 
     def unpersist(self) -> None:
         for df in (self.signatures, self.bands):
@@ -149,3 +107,55 @@ class LshIndex:
                 df.unpersist()
             except Exception:  # pragma: no cover - best-effort cleanup
                 pass
+
+
+def lookup(
+    indexes: dict[str, LshIndex], query_attrs: DataFrame, *, min_similarity: float = 0.0
+) -> DataFrame:
+    """LSH lookup of a set of query attributes (themselves indexed) in every
+    index of ``indexes``, keyed by evidence type.
+
+    ``query_attrs`` is a one-column DataFrame ``(attr_id)`` naming the query
+    side. Returns ``(query_attr, attr_id, evidence, similarity)`` for every
+    pair sharing >= 1 band bucket of the ``evidence`` index, self-pairs
+    excluded, filtered to ``similarity >= min_similarity``. Similarity is
+    the fraction of equal signature positions for a ``'jaccard'`` index and
+    cos(pi * hamming) for a ``'cosine'`` one.
+    """
+    tag = [(F.lit(ev).alias("evidence"), idx) for ev, idx in indexes.items()]
+    bands = reduce(DataFrame.unionByName, [idx.bands.select(ev, "*") for ev, idx in tag])
+    sigs = reduce(DataFrame.unionByName, [idx.signatures.select(ev, "*") for ev, idx in tag])
+    q_bands = bands.join(
+        query_attrs.select(F.col("attr_id").alias("query_attr")),
+        bands["attr_id"] == F.col("query_attr"),
+    ).select("evidence", "query_attr", "band", "band_hash")
+    candidates = (
+        q_bands.join(bands, ["evidence", "band", "band_hash"])
+        .where(F.col("query_attr") != F.col("attr_id"))
+        .select("evidence", "query_attr", "attr_id")
+        .distinct()
+    )
+    sig_q = sigs.select(
+        "evidence", F.col("attr_id").alias("query_attr"), F.col("sig").alias("sig_q")
+    )
+    sig_s = sigs.select("evidence", "attr_id", F.col("sig").alias("sig_s"))
+    joined = candidates.join(sig_q, ["evidence", "query_attr"]).join(
+        sig_s, ["evidence", "attr_id"]
+    )
+    eq_frac = (
+        F.aggregate(
+            F.zip_with("sig_q", "sig_s", lambda a, b: (a == b).cast("int")),
+            F.lit(0),
+            lambda acc, x: acc + x,
+        ).cast("double")
+        / F.size("sig_q").cast("double")
+    )
+    cosine = [ev for ev, idx in indexes.items() if idx.kind == "cosine"]
+    sim = F.when(
+        F.col("evidence").isin(cosine), F.cos(F.lit(float(np.pi)) * (F.lit(1.0) - eq_frac))
+    ).otherwise(eq_frac)
+    hits = joined.select("query_attr", "attr_id", "evidence", sim.alias("similarity"))
+    if min_similarity > 0.0:
+        hits = hits.where(F.col("similarity") >= F.lit(min_similarity))
+    return hits
+

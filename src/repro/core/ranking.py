@@ -3,7 +3,7 @@
 :class:`D3L` owns the four LSH indexes plus the numeric-extent store and
 subject-attribute table, and answers top-k queries through the Eq. 1-3
 aggregation framework. Queries are batched: ``search_many`` resolves any
-number of targets with one pass of similarity joins (one Spark plan),
+number of targets with one similarity join over all four indexes,
 which is how the 100-target experiment sweeps stay tractable.
 
 Targets are lake members (as in the paper's evaluation: targets are drawn
@@ -169,16 +169,10 @@ class D3L:
 
     def candidate_pairs(self, target_tables: list[str]) -> DataFrame:
         """Per-pair distance table for all attributes of ``target_tables``:
-        union of the four index lookups + Algorithm 2 domain distances."""
+        one lookup over the four indexes + Algorithm 2 domain distances."""
         q_attrs = self.attrs.where(F.col("table").isin(target_tables)).select("attr_id")
-        floor = self.config.min_similarity
-        lookups = dist.LookupResults(
-            n=self.index_n.lookup(q_attrs, min_similarity=floor),
-            v=self.index_v.lookup(q_attrs, min_similarity=floor),
-            f=self.index_f.lookup(q_attrs, min_similarity=floor),
-            e=self.index_e.lookup(q_attrs, min_similarity=floor),
-        )
-        pairs = dist.attach_tables(dist.merge_lookups(lookups), self.attrs)
+        hits = lsh.lookup(self._indexes(), q_attrs, min_similarity=self.config.min_similarity)
+        pairs = dist.attach_tables(dist.pivot_distances(hits), self.attrs)
         # The pair table is referenced several times downstream (Algorithm 2
         # guards, Eq. 2 windows, alignment collection); cut the similarity-
         # join lineage here so it is computed once, not per reference.

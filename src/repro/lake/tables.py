@@ -26,6 +26,10 @@ _NUMERIC_PARSE_THRESHOLD = 0.9
 
 
 def attr_id(table: str, col_name: str) -> str:
+    """``"<table>||<column>"``. A table name containing ``||`` is rejected:
+    the id could not be split back into the right table."""
+    if SEP in table:
+        raise ValueError(f"table name {table!r} contains the attr-id separator {SEP!r}")
     return f"{table}{SEP}{col_name}"
 
 

@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from repro.baselines.aurum import Aurum
 from repro.core.ranking import D3L, D3LConfig
 from repro.lake import generator, tables
 
@@ -64,3 +65,8 @@ def d3l_noisy(spark, noisy_cells):
     d = D3L.build(spark, noisy_cells, config=D3LConfig())
     d.materialize()
     return d
+
+
+@pytest.fixture(scope="session")
+def aurum_clean(spark, clean_cells):
+    return Aurum.build(spark, clean_cells)

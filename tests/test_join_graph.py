@@ -1,7 +1,5 @@
 """Algorithm 3 DFS and the SA-join graph (driver-side parts)."""
-import pytest
-
-from repro.core.joins import JoinGraph, find_join_paths, overlap_lower_bound
+from repro.core.joins import JoinGraph, find_join_paths
 
 
 def _graph(edges):
@@ -20,21 +18,6 @@ class TestJoinGraph:
     def test_multi_edges_dedup(self):
         g = _graph([("a", "b"), ("a", "b"), ("b", "a")])
         assert g.neighbours("a") == {"b"}
-
-
-class TestOverlapBound:
-    def test_bound_at_equal_sizes(self):
-        # J >= tau, |A| = |B| -> ov >= 2 tau / (1 + tau)
-        assert overlap_lower_bound(0.7, 100, 100) == pytest.approx(2 * 0.7 / 1.7)
-
-    def test_bound_capped_at_one(self):
-        assert overlap_lower_bound(0.9, 1000, 10) == 1.0
-
-    def test_zero_size(self):
-        assert overlap_lower_bound(0.7, 0, 10) == 0.0
-
-    def test_monotone_in_tau(self):
-        assert overlap_lower_bound(0.8, 50, 80) > overlap_lower_bound(0.4, 50, 80)
 
 
 class TestFindJoinPaths:

@@ -17,6 +17,12 @@ class TestAttrIds:
         t, c = tables.split_attr_id("a||b||c")
         assert t == "a" and c == "b||c"
 
+    def test_separator_in_table_name_rejected(self, spark):
+        """Ids of a table named "a||b" would split to table "a"; the lake
+        is refused at the entry instead of misattributing its pairs."""
+        with pytest.raises(ValueError, match=r"'a\|\|b'"):
+            tables.cells_df(spark, {"a||b": pd.DataFrame({"c": ["x", "y"]})})
+
 
 class TestCellsPandas:
     def test_drops_nulls(self):

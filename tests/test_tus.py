@@ -78,6 +78,20 @@ class TestSearch:
         assert res.ranking == []
         t.unpersist()
 
+    def test_search_many_jobs_independent_of_target_count(self, spark, tus_clean, clean_lake):
+        """A batch costs the same Spark jobs as one target: no per-target
+        job (e.g. counting each target's arity) sneaks into the loop."""
+        names = sorted(clean_lake.tables)
+        scheduler = spark.sparkContext._jsc.sc().dagScheduler()
+
+        def jobs(targets):
+            start = scheduler.nextJobId()
+            tus_clean.search_many(targets, k=3)
+            return scheduler.nextJobId() - start
+
+        jobs(names[:1])  # warm-up
+        assert jobs(names[:4]) <= jobs(names[:1])
+
     def test_search_many_matches_single(self, tus_clean, clean_lake):
         names = sorted(clean_lake.tables)
         batched = tus_clean.search_many([names[0], names[5]], k=3)
