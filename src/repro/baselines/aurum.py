@@ -32,7 +32,6 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core import distances as dist
 from repro.core import features, lsh, minhash, randproj
 from repro.core.ranking import SearchResult
-from repro.embedding.wem import WordEmbeddingModel
 
 _TFIDF_DIM = 64
 
@@ -44,20 +43,12 @@ def tfidf_vectors(cells: DataFrame) -> DataFrame:
     hashing trick); weights are tf * idf with idf over attributes as
     documents. Output: ``(attr_id, vec array<double>)``.
     """
-    words = (
-        cells.where(~F.col("is_numeric"))
-        .select(
-            "attr_id",
-            F.explode(F.split(F.lower(F.col("value")), r"[\s.,;:/\-()\[\]@_]+")).alias("w"),
-        )
-        .where(F.col("w") != "")
-    )
-    tf = words.groupBy("attr_id", "w").agg(F.count("*").alias("tf"))
+    tf = features.words(cells).groupBy("attr_id", "word").agg(F.count("*").alias("tf"))
     n_attrs = tf.select("attr_id").distinct().count()
-    df_ = tf.groupBy("w").agg(F.countDistinct("attr_id").alias("df"))
-    weighted = tf.join(df_, "w").select(
+    df_ = tf.groupBy("word").agg(F.countDistinct("attr_id").alias("df"))
+    weighted = tf.join(df_, "word").select(
         "attr_id",
-        (F.pmod(F.xxhash64("w"), F.lit(_TFIDF_DIM))).cast("int").alias("slot"),
+        (F.pmod(F.xxhash64("word"), F.lit(_TFIDF_DIM))).cast("int").alias("slot"),
         (F.col("tf") * F.log((F.lit(float(n_attrs)) + 1.0) / (F.col("df") + 1.0))).alias("wt"),
     )
     slots = weighted.groupBy("attr_id", "slot").agg(F.sum("wt").alias("wt"))
@@ -82,18 +73,16 @@ def tfidf_vectors(cells: DataFrame) -> DataFrame:
     return gathered.mapInPandas(_to_vec, schema="attr_id string, vec array<double>")
 
 
-@dataclass(frozen=True)
-class AurumConfig:
-    n_hashes: int = 256
-    n_bands_jaccard: int = 64
-    n_bands_cosine: int = 32
-    #: minimum similarity for a graph edge (content/name/tfidf).
-    edge_threshold: float = 0.3
-    #: uniqueness ratio above which an attribute is a PK candidate.
-    pk_uniqueness: float = 0.85
-    #: minimum value overlap similarity for a PK/FK candidate edge.
-    pkfk_threshold: float = 0.5
-    seed: int = 41
+N_HASHES = 256
+N_BANDS_JACCARD = 64
+N_BANDS_COSINE = 32
+#: minimum similarity for a graph edge (content/name/tfidf).
+EDGE_THRESHOLD = 0.3
+#: uniqueness ratio above which an attribute is a PK candidate.
+PK_UNIQUENESS = 0.85
+#: minimum value overlap similarity for a PK/FK candidate edge.
+PKFK_THRESHOLD = 0.5
+SEED = 41
 
 
 @dataclass
@@ -112,35 +101,27 @@ class Aurum:
     #: graph construction (Aurum keeps profiles + LSH indexes alongside the
     #: graph — they are part of its space footprint in Experiment 7).
     profile_sigs: dict[str, DataFrame]
-    config: AurumConfig
 
     @staticmethod
-    def build(
-        spark: SparkSession,
-        cells: DataFrame,
-        *,
-        wem: WordEmbeddingModel | None = None,
-        config: AurumConfig | None = None,
-    ) -> "Aurum":
+    def build(spark: SparkSession, cells: DataFrame) -> "Aurum":
         from repro.baselines.tus import value_sets
         from repro.lake.tables import attrs_df
 
-        cfg = config or AurumConfig()
         cells = cells.cache()
         attrs = attrs_df(cells).cache()
 
         sig_name = minhash.signatures_df(
-            features.name_qgrams(attrs), n_hashes=cfg.n_hashes, seed=cfg.seed
+            features.name_qgrams(attrs), n_hashes=N_HASHES, seed=SEED
         )
         vf = value_sets(cells).cache()
-        sig_content = minhash.signatures_df(vf, n_hashes=cfg.n_hashes, seed=cfg.seed + 1)
+        sig_content = minhash.signatures_df(vf, n_hashes=N_HASHES, seed=SEED + 1)
         sig_tfidf = randproj.bit_signatures_df(
-            tfidf_vectors(cells), dim=_TFIDF_DIM, n_bits=cfg.n_hashes, seed=cfg.seed + 2
+            tfidf_vectors(cells), dim=_TFIDF_DIM, n_bits=N_HASHES, seed=SEED + 2
         )
 
-        idx_name = lsh.LshIndex.build(sig_name, kind="jaccard", n_bands=cfg.n_bands_jaccard)
-        idx_content = lsh.LshIndex.build(sig_content, kind="jaccard", n_bands=cfg.n_bands_jaccard)
-        idx_tfidf = lsh.LshIndex.build(sig_tfidf, kind="cosine", n_bands=cfg.n_bands_cosine)
+        idx_name = lsh.LshIndex.build(sig_name, kind="jaccard", n_bands=N_BANDS_JACCARD)
+        idx_content = lsh.LshIndex.build(sig_content, kind="jaccard", n_bands=N_BANDS_JACCARD)
+        idx_tfidf = lsh.LshIndex.build(sig_tfidf, kind="cosine", n_bands=N_BANDS_COSINE)
 
         # Graph construction: LSH self-join of *every* attribute against the
         # indexes — the all-pairs edge materialisation that dominates
@@ -149,7 +130,7 @@ class Aurum:
         hits = lsh.lookup(
             {"name": idx_name, "content": idx_content, "tfidf": idx_tfidf},
             all_attrs,
-            min_similarity=cfg.edge_threshold,
+            min_similarity=EDGE_THRESHOLD,
         )
         edges = dist.attach_tables(
             hits.groupBy("query_attr", "attr_id").agg(
@@ -167,10 +148,10 @@ class Aurum:
             .set_index("attr_id")["uniqueness"]
         )
         content_pairs = dist.attach_tables(
-            idx_content.lookup(all_attrs, min_similarity=cfg.pkfk_threshold), attrs
+            idx_content.lookup(all_attrs, min_similarity=PKFK_THRESHOLD), attrs
         ).toPandas()
         keep = [
-            max(uniq.get(q, 0.0), uniq.get(s, 0.0)) >= cfg.pk_uniqueness
+            max(uniq.get(q, 0.0), uniq.get(s, 0.0)) >= PK_UNIQUENESS
             for q, s in zip(content_pairs["query_attr"], content_pairs["attr_id"])
         ]
         pkfk = content_pairs[pd.Series(keep, index=content_pairs.index)]
@@ -202,7 +183,6 @@ class Aurum:
                 "content": idx_content.signatures,
                 "tfidf": idx_tfidf.signatures,
             },
-            config=cfg,
         )
 
     def materialize(self) -> dict[str, int]:

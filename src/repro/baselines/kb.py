@@ -23,9 +23,14 @@ this KB preserves both the code path and the cost profile:
 """
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 
 from repro.lake import vocab
+
+#: Splits a value into words at whitespace and punctuation: the words of
+#: :func:`repro.core.features.words`, before lower-casing.
+WORD_SPLIT = re.compile(r"[\s.,;:/\-()\[\]@_]+")
 
 #: Vocabulary domains a YAGO-like KB plausibly covers. Local proper nouns
 #: (surname, first_name, street_name) are deliberately absent.
@@ -92,10 +97,8 @@ class KnowledgeBase:
 
     def classes_of_value(self, value: str) -> set[str]:
         """Union of class chains over a value's whitespace/punct tokens."""
-        import re
-
         classes: set[str] = set()
-        for token in re.split(r"[\s.,;:/\-()\[\]@_]+", value):
+        for token in WORD_SPLIT.split(value):
             if token:
                 classes.update(self.classes_of_token(token))
         return classes

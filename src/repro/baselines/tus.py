@@ -35,7 +35,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.baselines.kb import KnowledgeBase
 from repro.core import distances as dist
-from repro.core import lsh, minhash, randproj
+from repro.core import features, lsh, minhash, randproj
 from repro.core.ranking import SearchResult
 from repro.embedding.wem import WordEmbeddingModel
 
@@ -79,29 +79,8 @@ def semantic_sets(cells: DataFrame, kb: KnowledgeBase) -> DataFrame:
 def token_vectors(cells: DataFrame, wem: WordEmbeddingModel) -> DataFrame:
     """Mean embedding over *all* value tokens ``(attr_id, vec)`` (TUS's NL
     unionability does not do D3L's frequent/infrequent split)."""
-    words = (
-        cells.where(~F.col("is_numeric"))
-        .select(
-            "attr_id",
-            F.explode(F.split(F.lower(F.col("value")), r"[\s.,;:/\-()\[\]@_]+")).alias("w"),
-        )
-        .where(F.col("w") != "")
-        .groupBy("attr_id")
-        .agg(F.collect_set("w").alias("tokens"))
-    )
-
-    def _agg(batch_iter):
-        for batch in batch_iter:
-            if batch.empty:
-                yield pd.DataFrame({"attr_id": pd.Series(dtype=str), "vec": pd.Series(dtype=object)})
-                continue
-            vecs = batch["tokens"].map(lambda ts: wem.aggregate(ts))
-            keep = vecs.map(lambda v: float((v ** 2).sum()) > 0.0)
-            yield pd.DataFrame(
-                {"attr_id": batch["attr_id"][keep], "vec": vecs[keep].map(lambda v: v.tolist())}
-            )
-
-    return words.mapInPandas(_agg, schema="attr_id string, vec array<double>")
+    tokens = features.words(cells).select("attr_id", F.col("word").alias("feature"))
+    return features.mean_vectors(tokens, wem)
 
 
 # ---------------------------------------------------------------------------
@@ -143,15 +122,13 @@ def exact_jaccard_pairs(pairs: DataFrame, feats: DataFrame, q_feats: DataFrame) 
 # The system
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class TUSConfig:
-    n_hashes: int = 256
-    n_bands_jaccard: int = 64
-    n_bands_cosine: int = 32
-    wem_dim: int = 50
-    min_similarity: float = 0.05
-    seed: int = 29
+N_HASHES = 256
+N_BANDS_JACCARD = 64
+N_BANDS_COSINE = 32
+WEM_DIM = 50
+#: candidate floor of every index lookup.
+MIN_SIMILARITY = 0.05
+SEED = 29
 
 
 @dataclass
@@ -168,7 +145,6 @@ class TUS:
     index_value: lsh.LshIndex
     index_semantic: lsh.LshIndex
     index_nl: lsh.LshIndex
-    config: TUSConfig
 
     @staticmethod
     def build(
@@ -177,34 +153,32 @@ class TUS:
         *,
         kb: KnowledgeBase | None = None,
         wem: WordEmbeddingModel | None = None,
-        config: TUSConfig | None = None,
     ) -> "TUS":
         from repro.lake.tables import attrs_df
 
-        cfg = config or TUSConfig()
         kb = kb or KnowledgeBase()
-        wem = wem or WordEmbeddingModel(dim=cfg.wem_dim)
+        wem = wem or WordEmbeddingModel(dim=WEM_DIM)
         cells = cells.cache()
         attrs = attrs_df(cells).cache()
 
         vf = value_sets(cells).cache()
         sf = semantic_sets(cells, kb).cache()
         idx_v = lsh.LshIndex.build(
-            minhash.signatures_df(vf, n_hashes=cfg.n_hashes, seed=cfg.seed),
+            minhash.signatures_df(vf, n_hashes=N_HASHES, seed=SEED),
             kind="jaccard",
-            n_bands=cfg.n_bands_jaccard,
+            n_bands=N_BANDS_JACCARD,
         )
         idx_s = lsh.LshIndex.build(
-            minhash.signatures_df(sf, n_hashes=cfg.n_hashes, seed=cfg.seed + 1),
+            minhash.signatures_df(sf, n_hashes=N_HASHES, seed=SEED + 1),
             kind="jaccard",
-            n_bands=cfg.n_bands_jaccard,
+            n_bands=N_BANDS_JACCARD,
         )
         idx_e = lsh.LshIndex.build(
             randproj.bit_signatures_df(
-                token_vectors(cells, wem), dim=cfg.wem_dim, n_bits=cfg.n_hashes, seed=cfg.seed + 2
+                token_vectors(cells, wem), dim=WEM_DIM, n_bits=N_HASHES, seed=SEED + 2
             ),
             kind="cosine",
-            n_bands=cfg.n_bands_cosine,
+            n_bands=N_BANDS_COSINE,
         )
         return TUS(
             spark=spark,
@@ -217,7 +191,6 @@ class TUS:
             index_value=idx_v,
             index_semantic=idx_s,
             index_nl=idx_e,
-            config=cfg,
         )
 
     def materialize(self) -> dict[str, int]:
@@ -251,7 +224,6 @@ class TUS:
         recomputed from its cells at query time (the YAGO-mapping cost) and
         exact unionability is computed on every blocked candidate pair.
         """
-        floor = self.config.min_similarity
         target_cells = self.cells.where(F.col("table").isin(target_tables))
         q_attrs = self.attrs.where(F.col("table").isin(target_tables)).select("attr_id")
 
@@ -260,7 +232,7 @@ class TUS:
         q_sf = semantic_sets(target_cells, self.kb)
 
         cand_v, cand_s, cand_e = (
-            index.lookup(q_attrs, min_similarity=floor)
+            index.lookup(q_attrs, min_similarity=MIN_SIMILARITY)
             for index in (self.index_value, self.index_semantic, self.index_nl)
         )
         pair = ["query_attr", "attr_id"]

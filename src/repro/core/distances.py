@@ -55,12 +55,34 @@ def _ks_udf(xs: pd.Series, ys: pd.Series) -> pd.Series:
     )
 
 
+#: Most values a numeric extent keeps. A longer column keeps its M midpoint
+#: order statistics sorted[floor((i + 0.5) * n / M)], i < M: each ECDF then
+#: moves by at most 1/(2M), so a KS statistic by at most 1/M.
+EXTENT_CAP = 1024
+
+
 def numeric_extents(cells: DataFrame) -> DataFrame:
-    """``(attr_id, table, vals: array<double>)`` for numeric attributes."""
+    """``(attr_id, table, vals: array<double>)`` for numeric attributes: all
+    values of a column of at most :data:`EXTENT_CAP`, else its
+    ``EXTENT_CAP`` midpoint order statistics."""
+    m = EXTENT_CAP
+    # ``sorted`` is read twice below, so Catalyst keeps it in its own
+    # projection: each column is sorted once, not once per kept value.
+    n = F.size("sorted")
+    midpoints = F.transform(
+        F.sequence(F.lit(0), F.lit(m - 1)),
+        lambda i: F.col("sorted")[F.floor((i + 0.5) * n / m).cast("int")],
+    )
     return (
         cells.where(F.col("is_numeric") & F.col("num_value").isNotNull())
         .groupBy("attr_id", "table")
         .agg(F.collect_list("num_value").alias("vals"))
+        .withColumn("sorted", F.sort_array("vals"))
+        .select(
+            "attr_id",
+            "table",
+            F.when(F.size("vals") <= m, F.col("vals")).otherwise(midpoints).alias("vals"),
+        )
     )
 
 

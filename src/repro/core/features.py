@@ -64,8 +64,10 @@ def name_qgrams(attrs: DataFrame, *, q: int = DEFAULT_Q) -> DataFrame:
 # V / E: informative and frequent tokens
 # ---------------------------------------------------------------------------
 
-def _words(cells: DataFrame) -> DataFrame:
-    """Explode non-numeric cells into ``(attr_id, row_idx, part_idx, word)``."""
+def words(cells: DataFrame) -> DataFrame:
+    """Explode non-numeric cells into ``(attr_id, row_idx, part_idx, word)``:
+    each value splits at punctuation into parts, each part at whitespace
+    into lower-cased words. The one tokenizer of D3L, TUS and Aurum."""
     parts = cells.where(~F.col("is_numeric")).select(
         "attr_id",
         "row_idx",
@@ -82,48 +84,37 @@ def _words(cells: DataFrame) -> DataFrame:
     )
 
 
-def token_histogram(cells: DataFrame) -> DataFrame:
-    """Per-attribute token occurrence counts ``(attr_id, word, cnt)`` —
-    Algorithm 1's histogram ``H``."""
-    return _words(cells).groupBy("attr_id", "word").agg(F.count("*").alias("cnt"))
-
-
-def _extreme_tokens(cells: DataFrame, *, ascending: bool) -> DataFrame:
-    """Per (attr, value, part), the word with the fewest (``ascending``) or
-    most occurrences in the attribute's extent; distinct per attribute.
+def _part_tokens(cells: DataFrame) -> DataFrame:
+    """Per (attr, value, part), the word with the ``fewest`` and the one with
+    the ``most`` occurrences in the attribute's extent (Algorithm 1's
+    histogram H, read once for both picks).
 
     Occurrence-count ties are broken in favour of letter-bearing tokens
     (then alphabetically): in the paper's Example 2 the informative token of
     part "18 Portland Street" is *portland*, not the house number, even
     though both occur once — digit-only tokens carry the weaker signal.
     """
-    words = _words(cells)
-    hist = token_histogram(cells)
-    digit_only = (~F.col("word").rlike("[a-z]")).cast("int")
-    order = [
-        F.col("cnt").asc() if ascending else F.col("cnt").desc(),
-        digit_only.asc(),
-        F.col("word").asc(),
-    ]
-    w = Window.partitionBy("attr_id", "row_idx", "part_idx").orderBy(*order)
-    return (
-        words.join(hist, ["attr_id", "word"])
-        .withColumn("_rn", F.row_number().over(w))
-        .where(F.col("_rn") == 1)
-        .select("attr_id", F.col("word").alias("feature"))
-        .distinct()
+    counted = words(cells).withColumn(
+        "cnt", F.count("*").over(Window.partitionBy("attr_id", "word"))
+    )
+    digit_only = (~F.col("word").rlike("[a-z]")).cast("int").alias("digit_only")
+    return counted.groupBy("attr_id", "row_idx", "part_idx").agg(
+        F.min(F.struct("cnt", digit_only, "word"))["word"].alias("fewest"),
+        F.min(F.struct((-F.col("cnt")).alias("neg_cnt"), digit_only, "word"))["word"].alias(
+            "most"
+        ),
     )
 
 
 def informative_tokens(cells: DataFrame) -> DataFrame:
     """``T(a)`` as ``(attr_id, feature)`` — the V-evidence set representation."""
-    return _extreme_tokens(cells, ascending=True)
+    return _part_tokens(cells).select("attr_id", F.col("fewest").alias("feature")).distinct()
 
 
 def frequent_tokens(cells: DataFrame) -> DataFrame:
     """Embedding-token set as ``(attr_id, feature)`` — the words whose WEM
     vectors are aggregated into the attribute vector (E evidence)."""
-    return _extreme_tokens(cells, ascending=False)
+    return _part_tokens(cells).select("attr_id", F.col("most").alias("feature")).distinct()
 
 
 # ---------------------------------------------------------------------------
@@ -188,17 +179,17 @@ _VEC_SCHEMA = StructType(
 )
 
 
-def embedding_vectors(cells: DataFrame, wem) -> DataFrame:
-    """``(attr_id, vec)`` — mean WEM vector of the frequent tokens.
+def mean_vectors(tokens: DataFrame, wem) -> DataFrame:
+    """``(attr_id, vec)`` — mean WEM vector of each attribute's distinct
+    ``feature`` tokens of ``tokens`` ``(attr_id, feature)``.
 
     ``wem`` (a :class:`repro.embedding.wem.WordEmbeddingModel`) is shipped
-    to executors by closure capture; it is a small picklable object.
-    Attributes whose token set yields a zero vector are dropped (nothing to
-    project).
+    to executors by closure capture; it is a small picklable object. The
+    token set is sorted, so the float mean does not depend on shuffle
+    order. Attributes whose token set yields a zero vector are dropped
+    (nothing to project).
     """
-    tokens = frequent_tokens(cells).groupBy("attr_id").agg(
-        F.collect_set("feature").alias("tokens")
-    )
+    sets = tokens.groupBy("attr_id").agg(F.sort_array(F.collect_set("feature")).alias("tokens"))
 
     def _agg(batch: pd.DataFrame) -> pd.DataFrame:
         if batch.empty:
@@ -212,4 +203,9 @@ def embedding_vectors(cells: DataFrame, wem) -> DataFrame:
             }
         )
 
-    return tokens.mapInPandas(lambda it: map(_agg, it), schema=_VEC_SCHEMA)
+    return sets.mapInPandas(lambda it: map(_agg, it), schema=_VEC_SCHEMA)
+
+
+def embedding_vectors(cells: DataFrame, wem) -> DataFrame:
+    """``(attr_id, vec)`` — mean WEM vector of the frequent tokens."""
+    return mean_vectors(frequent_tokens(cells), wem)

@@ -1,11 +1,12 @@
 """Stable 64-bit hashing and universal hash families.
 
-Everything downstream (MinHash signatures, LSH band hashes, the synthetic
+Everything downstream (MinHash signatures, LSH band keys, the synthetic
 WEM's per-token noise) needs hashes that are (a) deterministic across
 processes — Python's builtin ``hash`` is salted per process — and (b)
 vectorisable. We use blake2b-derived 64-bit digests for strings on the
-driver and ``xxhash64`` inside Spark; the two never need to agree because
-each index is built and queried through the same path.
+driver and ``xxhash64`` inside Spark (MinHash element hashes and band keys,
+:mod:`repro.core.lsh`); the two never need to agree because each index is
+built and queried through the same path.
 """
 from __future__ import annotations
 
@@ -21,11 +22,6 @@ _MASK64 = _U64(0xFFFFFFFFFFFFFFFF)
 def stable_hash64(value: str) -> int:
     """Deterministic unsigned 64-bit hash of a string (process-independent)."""
     return int.from_bytes(hashlib.blake2b(value.encode("utf-8"), digest_size=8).digest(), "little")
-
-
-def stable_hash64_array(values) -> np.ndarray:
-    """Vector of :func:`stable_hash64` over an iterable of strings."""
-    return np.fromiter((stable_hash64(v) for v in values), dtype=np.uint64, count=len(values))
 
 
 @dataclass(frozen=True)
@@ -58,20 +54,3 @@ class HashFamily:
         with np.errstate(over="ignore"):
             return (x * self.a + self.b) & _MASK64
 
-
-_FNV_PRIME = _U64(1099511628211)
-_FNV_OFFSET = _U64(14695981039346656037)
-
-
-def fold_rows64(rows: np.ndarray) -> np.ndarray:
-    """FNV-1a-style fold of each row of a uint64 matrix into one uint64.
-
-    Used to hash an LSH band (r consecutive signature positions) into a
-    single bucket key. Deterministic, vectorised over rows.
-    """
-    rows = np.asarray(rows, dtype=np.uint64)
-    acc = np.full(rows.shape[0], _FNV_OFFSET, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        for j in range(rows.shape[1]):
-            acc = (acc ^ rows[:, j]) * _FNV_PRIME
-    return acc

@@ -26,48 +26,29 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-import pandas as pd
 import pyspark.sql.functions as F
 from pyspark.sql import DataFrame
-from pyspark.sql.types import LongType, StringType, StructField, StructType
-
-from repro.core.hashing import fold_rows64
 
 #: Banding defaults chosen so the candidate threshold matches the paper's 0.7.
 DEFAULT_N_BANDS = 32
 
-_BANDS_SCHEMA = StructType(
-    [
-        StructField("attr_id", StringType(), False),
-        StructField("band", LongType(), False),
-        StructField("band_hash", LongType(), False),
-    ]
-)
-
 
 def band_hashes_df(signatures: DataFrame, *, n_bands: int = DEFAULT_N_BANDS) -> DataFrame:
-    """Explode ``(attr_id, sig)`` into ``(attr_id, band, band_hash)`` rows."""
-
-    def _bands(batch: pd.DataFrame) -> pd.DataFrame:
-        if batch.empty:
-            return pd.DataFrame(
-                {
-                    "attr_id": pd.Series(dtype=str),
-                    "band": pd.Series(dtype=np.int64),
-                    "band_hash": pd.Series(dtype=np.int64),
-                }
-            )
-        out_ids, out_band, out_hash = [], [], []
-        for attr_id, sig in zip(batch["attr_id"], batch["sig"]):
-            sig = np.asarray(sig, dtype=np.int64).view(np.uint64)
-            rows = sig.reshape(n_bands, -1)
-            hashes = fold_rows64(rows).view(np.int64)
-            out_ids.extend([attr_id] * n_bands)
-            out_band.extend(range(n_bands))
-            out_hash.extend(hashes.tolist())
-        return pd.DataFrame({"attr_id": out_ids, "band": out_band, "band_hash": out_hash})
-
-    return signatures.mapInPandas(lambda it: map(_bands, it), schema=_BANDS_SCHEMA)
+    """Explode ``(attr_id, sig)`` into ``(attr_id, band, band_hash)`` rows:
+    band i's key is ``xxhash64`` of signature positions [i*r, (i+1)*r),
+    r = len(sig) / n_bands. A signature whose length ``n_bands`` does not
+    divide fails the query rather than drop its tail positions."""
+    r = (F.size("sig") / n_bands).cast("int")
+    keys = F.transform(
+        F.sequence(F.lit(0), F.lit(n_bands - 1)),
+        lambda i: F.xxhash64(F.slice("sig", i * r + 1, r)),
+    )
+    checked = F.when(F.size("sig") % n_bands == 0, keys).otherwise(
+        F.raise_error(F.lit(f"signature length is not a multiple of {n_bands} bands"))
+    )
+    return signatures.select("attr_id", F.posexplode(checked).alias("band", "band_hash")).select(
+        "attr_id", F.col("band").cast("long"), "band_hash"
+    )
 
 
 @dataclass
@@ -85,15 +66,11 @@ class LshIndex:
     n_bands: int
 
     @staticmethod
-    def build(
-        signatures: DataFrame, *, kind: str, n_bands: int = DEFAULT_N_BANDS, cache: bool = True
-    ) -> "LshIndex":
+    def build(signatures: DataFrame, *, kind: str, n_bands: int = DEFAULT_N_BANDS) -> "LshIndex":
         if kind not in ("jaccard", "cosine"):
             raise ValueError(f"unknown similarity kind: {kind}")
-        bands = band_hashes_df(signatures, n_bands=n_bands)
-        if cache:
-            signatures = signatures.cache()
-            bands = bands.cache()
+        signatures = signatures.cache()
+        bands = band_hashes_df(signatures, n_bands=n_bands).cache()
         return LshIndex(signatures=signatures, bands=bands, kind=kind, n_bands=n_bands)
 
     def lookup(self, query_attrs: DataFrame, *, min_similarity: float = 0.0) -> DataFrame:

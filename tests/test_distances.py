@@ -3,7 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.distances import EVIDENCE_TYPES, ks_statistic, numeric_extents
+from repro.core.distances import EVIDENCE_TYPES, EXTENT_CAP, ks_statistic, numeric_extents
 
 
 class TestKS:
@@ -64,6 +64,21 @@ class TestNumericExtents:
         rows = numeric_extents(cells).collect()
         assert {r["attr_id"] for r in rows} == {"t||n"}
         assert sorted(rows[0]["vals"]) == [1.0, 2.0, 3.0]
+
+    def test_long_columns_capped_within_ks_bound(self, spark):
+        """A 100k-value column keeps at most EXTENT_CAP values, and KS on
+        two capped columns stays within 1/EXTENT_CAP of KS on all values."""
+        from repro.lake import tables
+
+        rng = np.random.default_rng(5)
+        n = 100_000
+        x = rng.normal(0.0, 1.0, n)
+        y = np.round(rng.normal(0.1, 1.2, n), 1)  # ties, too
+        cells = tables.cells_df(spark, {"t": pd.DataFrame({"x": x, "y": y})})
+        vals = {r["attr_id"]: np.array(r["vals"]) for r in numeric_extents(cells).collect()}
+        assert all(len(v) <= EXTENT_CAP for v in vals.values())
+        exact = ks_statistic(x, y)
+        assert abs(ks_statistic(vals["t||x"], vals["t||y"]) - exact) <= 1.0 / EXTENT_CAP
 
 
 class TestEvidenceTypes:

@@ -4,6 +4,7 @@ import pandas as pd
 import pyspark.sql.functions as F
 import pytest
 
+from repro.baselines.kb import WORD_SPLIT
 from repro.core import features
 from repro.embedding.wem import WordEmbeddingModel
 from repro.lake import tables
@@ -90,30 +91,54 @@ class TestTokens:
         }
         assert tok_attrs == {"t||s"}
 
-    def test_token_histogram_oracle(self, spark, example2_cells):
-        """The histogram (Alg. 1's H) agrees with DuckDB's count over an
-        equivalently exploded token table."""
-        hist = features.token_histogram(example2_cells)
-        words_pdf = (
-            example2_cells.where(~F.col("is_numeric"))
-            .select(
-                "attr_id",
-                F.explode(
-                    F.split(F.col("value"), r"[.,;:/\-()\[\]@_]+")
-                ).alias("part"),
-            )
-            .select(
-                "attr_id",
-                F.explode(F.split(F.lower(F.trim("part")), r"\s+")).alias("word"),
-            )
-            .where(F.col("word") != "")
+    @pytest.mark.parametrize("lake", ["clean", "noisy"])
+    @pytest.mark.parametrize(
+        "pick, order",
+        [(features.informative_tokens, "cnt ASC"), (features.frequent_tokens, "cnt DESC")],
+        ids=["fewest", "most"],
+    )
+    def test_token_pick_oracle(self, request, lake, pick, order):
+        """Over every attribute of the test lakes, the one-aggregate pick
+        equals DuckDB's ``row_number()`` pick over Algorithm 1's histogram
+        H of the same words: per part, first by count, then letter-bearing
+        words, then alphabetically."""
+        cells = request.getfixturevalue(f"{lake}_cells")
+        assert_equivalent(
+            pick(cells),
+            f"""
+            WITH h AS (
+              SELECT *, count(*) OVER (PARTITION BY attr_id, word) AS cnt,
+                     CASE WHEN regexp_matches(word, '[a-z]') THEN 0 ELSE 1 END AS digit_only
+              FROM words),
+            ranked AS (
+              SELECT attr_id, word, row_number() OVER (
+                PARTITION BY attr_id, row_idx, part_idx ORDER BY {order}, digit_only, word) AS rn
+              FROM h)
+            SELECT DISTINCT attr_id, word AS feature FROM ranked WHERE rn = 1
+            """,
+            words=features.words(cells),
+        )
+
+    @pytest.mark.parametrize("lake", ["clean", "noisy"])
+    def test_words_match_kb_split(self, request, lake):
+        """The KB's Python split (TUS's semantic evidence), lower-cased and
+        without empty tokens, gives ``words`` for every non-numeric value
+        of the test lakes."""
+        cells = request.getfixturevalue(f"{lake}_cells")
+        got = (
+            features.words(cells)
+            .groupBy("attr_id", "row_idx")
+            .agg(F.sort_array(F.collect_list("word")).alias("words"))
             .toPandas()
         )
-        assert_equivalent(
-            hist,
-            "SELECT attr_id, word, count(*) AS cnt FROM words GROUP BY attr_id, word",
-            words=words_pdf,
+        values = cells.where(~F.col("is_numeric")).select("attr_id", "row_idx", "value").toPandas()
+        expected = values.assign(
+            words=[sorted(w.lower() for w in WORD_SPLIT.split(v) if w) for v in values["value"]]
         )
+        expected = expected[expected["words"].map(len) > 0]
+        merged = expected.merge(got, on=["attr_id", "row_idx"], how="outer", suffixes=("", "_spark"))
+        assert len(merged) == len(expected) == len(got)
+        assert [list(w) for w in merged["words_spark"]] == list(merged["words"])
 
     def test_lowercasing(self, spark):
         cells = tables.cells_df(spark, {"t": pd.DataFrame({"s": ["Hello World"]})})

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hashing import HashFamily, fold_rows64, stable_hash64, stable_hash64_array
+from repro.core.hashing import HashFamily, stable_hash64
 
 
 class TestStableHash:
@@ -21,12 +21,6 @@ class TestStableHash:
         for s in ["a", "b", "qwerty", "日本語"]:
             h = stable_hash64(s)
             assert 0 <= h < 2**64
-
-    def test_array_matches_scalar(self):
-        vals = ["x", "y", "zz"]
-        arr = stable_hash64_array(vals)
-        assert arr.dtype == np.uint64
-        assert [int(a) for a in arr] == [stable_hash64(v) for v in vals]
 
     @given(st.text(max_size=50))
     @settings(max_examples=50, deadline=None)
@@ -74,30 +68,3 @@ class TestHashFamily:
         out = fam.apply(x)[:, 0]
         assert len(np.unique(out)) == 1000  # bijection per member
 
-
-class TestFoldRows:
-    def test_shape(self):
-        rows = np.arange(24, dtype=np.uint64).reshape(6, 4)
-        out = fold_rows64(rows)
-        assert out.shape == (6,)
-
-    def test_deterministic(self):
-        rows = np.arange(8, dtype=np.uint64).reshape(2, 4)
-        assert np.array_equal(fold_rows64(rows), fold_rows64(rows))
-
-    def test_row_order_sensitivity(self):
-        a = fold_rows64(np.array([[1, 2, 3, 4]], dtype=np.uint64))
-        b = fold_rows64(np.array([[4, 3, 2, 1]], dtype=np.uint64))
-        assert a[0] != b[0]
-
-    def test_identical_rows_collide(self):
-        rows = np.array([[7, 7, 7, 7], [7, 7, 7, 7]], dtype=np.uint64)
-        out = fold_rows64(rows)
-        assert out[0] == out[1]
-
-    @given(st.lists(st.integers(0, 2**63), min_size=4, max_size=4))
-    @settings(max_examples=30, deadline=None)
-    def test_fold_stable_under_repetition(self, vals):
-        rows = np.array([vals, vals], dtype=np.uint64)
-        out = fold_rows64(rows)
-        assert out[0] == out[1]

@@ -13,7 +13,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.baselines.aurum import Aurum
+from repro.baselines.aurum import EDGE_THRESHOLD, N_BANDS_COSINE, N_BANDS_JACCARD, Aurum
 from repro.core import lsh
 
 LAKES = ["clean", "noisy"]
@@ -92,17 +92,16 @@ def test_aurum_edges_are_max_of_single_lookups(request, spark, lake):
         aurum = request.getfixturevalue("aurum_clean")
     else:
         aurum = Aurum.build(spark, request.getfixturevalue("noisy_cells"))
-    cfg = aurum.config
     kinds = {
-        "name": ("jaccard", cfg.n_bands_jaccard),
-        "content": ("jaccard", cfg.n_bands_jaccard),
-        "tfidf": ("cosine", cfg.n_bands_cosine),
+        "name": ("jaccard", N_BANDS_JACCARD),
+        "content": ("jaccard", N_BANDS_JACCARD),
+        "tfidf": ("cosine", N_BANDS_COSINE),
     }
     q_attrs = aurum.attrs.select("attr_id")
     parts = []
     for ev, (kind, n_bands) in kinds.items():
-        index = lsh.LshIndex.build(aurum.profile_sigs[ev], kind=kind, n_bands=n_bands, cache=False)
-        parts.append(index.lookup(q_attrs, min_similarity=cfg.edge_threshold).toPandas())
+        index = lsh.LshIndex.build(aurum.profile_sigs[ev], kind=kind, n_bands=n_bands)
+        parts.append(index.lookup(q_attrs, min_similarity=EDGE_THRESHOLD).toPandas())
     best = pd.concat(parts).groupby(PAIR, as_index=False)["similarity"].max()
     expected = _cross_table(aurum.attrs.toPandas(), best)
 

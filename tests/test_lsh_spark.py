@@ -77,32 +77,36 @@ class TestBandIndex:
         d = bands[bands.attr_id == "D"].sort_values("band")["band_hash"].tolist()
         assert a == d
 
+    def test_band_count_must_divide_signature(self, sigs):
+        with pytest.raises(Exception, match="not a multiple of 3 bands"):
+            lsh.band_hashes_df(sigs, n_bands=3).collect()
+
     def test_lookup_finds_identical(self, sigs):
-        index = lsh.LshIndex.build(sigs, kind="jaccard", n_bands=32, cache=False)
+        index = lsh.LshIndex.build(sigs, kind="jaccard", n_bands=32)
         q = sigs.sparkSession.createDataFrame([("A",)], schema="attr_id string")
         hits = {r["attr_id"]: r["similarity"] for r in index.lookup(q).collect()}
         assert hits["D"] == pytest.approx(1.0)
 
     def test_lookup_excludes_self(self, sigs):
-        index = lsh.LshIndex.build(sigs, kind="jaccard", n_bands=32, cache=False)
+        index = lsh.LshIndex.build(sigs, kind="jaccard", n_bands=32)
         q = sigs.sparkSession.createDataFrame([("A",)], schema="attr_id string")
         assert "A" not in {r["attr_id"] for r in index.lookup(q).collect()}
 
     def test_lookup_mid_similarity_with_fine_bands(self, sigs):
-        index = lsh.LshIndex.build(sigs, kind="jaccard", n_bands=64, cache=False)
+        index = lsh.LshIndex.build(sigs, kind="jaccard", n_bands=64)
         q = sigs.sparkSession.createDataFrame([("A",)], schema="attr_id string")
         hits = {r["attr_id"]: r["similarity"] for r in index.lookup(q).collect()}
         assert "B" in hits
         assert 0.25 < hits["B"] < 0.75
 
     def test_min_similarity_filter(self, sigs):
-        index = lsh.LshIndex.build(sigs, kind="jaccard", n_bands=64, cache=False)
+        index = lsh.LshIndex.build(sigs, kind="jaccard", n_bands=64)
         q = sigs.sparkSession.createDataFrame([("A",)], schema="attr_id string")
         hits = index.lookup(q, min_similarity=0.9).collect()
         assert {r["attr_id"] for r in hits} == {"D"}
 
     def test_disjoint_not_candidates(self, sigs):
-        index = lsh.LshIndex.build(sigs, kind="jaccard", n_bands=32, cache=False)
+        index = lsh.LshIndex.build(sigs, kind="jaccard", n_bands=32)
         q = sigs.sparkSession.createDataFrame([("C",)], schema="attr_id string")
         hits = {r["attr_id"] for r in index.lookup(q).collect()}
         assert hits == set()
@@ -157,8 +161,30 @@ class TestCosineIndex:
             )
         )
         sigs = randproj.bit_signatures_df(vecs, dim=50)
-        index = lsh.LshIndex.build(sigs, kind="cosine", n_bands=32, cache=False)
+        index = lsh.LshIndex.build(sigs, kind="cosine", n_bands=32)
         q = spark.createDataFrame([("a",)], schema="attr_id string")
         hits = {r["attr_id"]: r["similarity"] for r in index.lookup(q).collect()}
         assert "b" in hits and hits["b"] > 0.8
         assert hits.get("c", 0.0) < 0.5
+
+
+@pytest.mark.parametrize("lake", ["clean", "noisy"])
+def test_buckets_are_equal_band_slices(request, lake):
+    """In all four D3L indexes of the test lakes, two attributes share a
+    (band, band_hash) bucket exactly when numpy finds that band's slice of
+    their collected signatures equal."""
+    d3l = request.getfixturevalue(f"d3l_{lake}")
+    for ev, index in d3l._indexes().items():
+        rows = index.signatures.collect()
+        ids = np.array([r["attr_id"] for r in rows])
+        bands = np.array([r["sig"] for r in rows]).reshape(len(rows), index.n_bands, -1)
+        equal = (bands[:, None] == bands[None, :]).all(axis=3)
+        i, j, band = np.nonzero(equal)
+        keep = ids[i] < ids[j]
+        expected = set(zip(ids[i][keep], ids[j][keep], band[keep]))
+
+        pdf = index.bands.toPandas()
+        pairs = pdf.merge(pdf, on=["band", "band_hash"])
+        pairs = pairs[pairs["attr_id_x"] < pairs["attr_id_y"]]
+        got = set(zip(pairs["attr_id_x"], pairs["attr_id_y"], pairs["band"]))
+        assert expected and got == expected, ev
